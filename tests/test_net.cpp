@@ -711,27 +711,63 @@ TEST(ConnectRetry, LateStartingServerEventuallyAccepts)
 
 TEST(Retry, OverloadedBackpressureRetriesUntilCapacityFrees)
 {
-    // One worker, one queue slot: park two bounded jobs so the pool
-    // is saturated, then submitRetry() a third from a second client.
-    // Its early attempts are refused OVERLOADED; the retry loop must
-    // back off and land the job once the deadline reaps the parked
-    // work.
+    // One worker, one queue slot: park bounded jobs until the pool
+    // is saturated, then submit another with retries from a second
+    // client.  Its early attempts are refused OVERLOADED; the retry
+    // loop must back off and land the job once the worker has
+    // finished the parked work (the 300 ms deadline only bounds it).
+    //
+    // An admitted job holds the queue slot until the worker pops it,
+    // so back-to-back SUBMITs can see the second refused before the
+    // worker wakes.  Park one job at a time instead, and wait on the
+    // server's own counters rather than on timing.  Each job is sent
+    // only while the slot is free, so none is refused; a job that
+    // lands on an idle worker (a stall let the previous one finish
+    // first) just means one more is parked behind it.
     ServerHarness harness(serverConfig(1, 1));
     std::string error;
-
-    net::PsiClient pipeline;
-    ASSERT_TRUE(
-        pipeline.connect("127.0.0.1", harness.port(), &error))
-        << error;
-    for (int i = 0; i < 2; ++i)
-        ASSERT_TRUE(pipeline.sendSubmit("bup3", 300'000'000ull,
-                                        nullptr, &error))
-            << error;
 
     net::PsiClient client;
     client.setRetryPolicy(testRetryPolicy(100, 3));
     ASSERT_TRUE(client.connect("127.0.0.1", harness.port(), &error))
         << error;
+
+    net::PsiClient pipeline;
+    ASSERT_TRUE(
+        pipeline.connect("127.0.0.1", harness.port(), &error))
+        << error;
+    constexpr std::uint64_t kMaxParked = 8;
+    std::uint64_t parked = 0;
+    bool saturated = false;
+    while (!saturated && parked < kMaxParked) {
+        ASSERT_TRUE(pipeline.sendSubmit("bup3", 300'000'000ull,
+                                        nullptr, &error))
+            << error;
+        ++parked;
+        // Saturated: this job holds the slot behind a running one.
+        // Dispatched: the slot is free again, so park another.
+        auto limit = std::chrono::steady_clock::now() +
+                     std::chrono::seconds(10);
+        for (;;) {
+            auto snap = harness.server.metrics();
+            if (snap.submitted == parked) {
+                if (snap.queueDepth == 0)
+                    break;
+                if (snap.submitted - snap.total.completed == 2) {
+                    saturated = true;
+                    break;
+                }
+            }
+            ASSERT_LT(std::chrono::steady_clock::now(), limit)
+                << "parked job " << parked
+                << " was neither queued nor dispatched";
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(100));
+        }
+    }
+    ASSERT_TRUE(saturated)
+        << "pool never saturated after " << parked << " parked jobs";
+
     auto result = client.submit(net::Request{"nreverse30", 0, 10'000},
                                 &client.retryPolicy(), &error);
     ASSERT_TRUE(result.has_value()) << error;
@@ -739,8 +775,15 @@ TEST(Retry, OverloadedBackpressureRetriesUntilCapacityFrees)
     EXPECT_GT(client.retryStats().overloadedRetries, 0u);
     EXPECT_EQ(client.retryStats().exhausted, 0u);
 
-    for (int i = 0; i < 2; ++i)
-        ASSERT_TRUE(pipeline.recvResult(-1, &error)) << error;
+    // The set-up held: every parked job ran, and every refusal the
+    // server made went to the retrying client.
+    for (std::uint64_t i = 0; i < parked; ++i) {
+        auto done = pipeline.recvResult(-1, &error);
+        ASSERT_TRUE(done.has_value()) << error;
+        EXPECT_TRUE(done->ran()) << done->error;
+    }
+    EXPECT_EQ(harness.server.metrics().rejected,
+              client.retryStats().overloadedRetries);
 }
 
 TEST(Retry, DeadlineBudgetBoundsTheWholeCall)
